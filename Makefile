@@ -12,7 +12,7 @@ RACE_PKGS = ./internal/parallel ./internal/tuning ./internal/bench ./internal/co
 CHAOS_PKGS = ./internal/faultfs ./internal/wal ./internal/knn ./internal/segment ./internal/online ./internal/serve ./internal/repl ./internal/match ./cmd/erserve
 CHAOS_RUN = 'Crash|Torn|Corrupt|Truncat|BitFlip|Degraded|Overload|Sticky|Graceful|Panic|SaveFileAtomic|SyncFault'
 
-.PHONY: check vet build test race chaos shard ann lsm repl bulk match scrape bench-tune bench-serve bench-wal bench-obs bench-shard bench-ann bench-lsm bench-repl bench-bulk bench-match
+.PHONY: check vet build test race chaos shard ann lsm repl bulk match scrape bench-tune bench-serve bench-wal bench-obs bench-shard bench-ann bench-lsm bench-repl bench-bulk bench-match bench-sparse
 
 ## check: the full verification gate (vet, build, tests, race tests, chaos, shard, ann, lsm, repl, bulk, match)
 check: vet build test race chaos shard ann lsm repl bulk match
@@ -42,6 +42,14 @@ bench-tune:
 ## bench-serve: online resolver under mixed read/write load
 bench-serve:
 	$(GO) test -run '^$$' -bench 'BenchmarkServe(Query|Insert)' -benchtime 200x -count 3 ./internal/online
+
+## bench-sparse: the sparse-layer kNN-Join probe (ScanCount plus the
+## top-k cut of IncSnapshot.KNNQuery) on the D10 analog under C3G tokens,
+## at the serving k and the tuning grid's largest k. CI runs it with
+## SPARSE_BENCHTIME=1x so the benchmark keeps compiling and running.
+SPARSE_BENCHTIME ?= 500x
+bench-sparse:
+	$(GO) test -run '^$$' -bench 'BenchmarkIncKNNQuery' -benchtime $(SPARSE_BENCHTIME) -count 3 ./internal/sparse
 
 ## bench-wal: durable (WAL + fsync) vs volatile insert path
 bench-wal:

@@ -1,9 +1,11 @@
 package online
 
 import (
+	"cmp"
 	"io"
 	"math"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"sync/atomic"
@@ -547,11 +549,11 @@ func mergeCandidates(method Method, per [][]Candidate, k int) []Candidate {
 	for _, p := range per {
 		all = append(all, p...)
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Score != all[j].Score {
-			return all[i].Score > all[j].Score
+	slices.SortFunc(all, func(a, b Candidate) int {
+		if c := cmp.Compare(b.Score, a.Score); c != 0 {
+			return c
 		}
-		return all[i].ID < all[j].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 	return cutCandidates(method, all, k)
 }

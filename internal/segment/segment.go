@@ -1,10 +1,12 @@
 package segment
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -503,6 +505,9 @@ type scratch struct {
 	stamp  []int64
 	round  int64
 	found  []int32
+	// sims (parallel to found) and top are knnQuery's cut buffers.
+	sims []float64
+	top  sparse.TopDistinct
 }
 
 func (sc *scratch) grow(n int) {
@@ -566,7 +571,8 @@ func (g *Reader) rangeQuery(query []string, m sparse.Measure, eps float64, dead 
 
 // knnQuery returns live candidates with positive similarity, sorted
 // (sim desc, id asc) and cut to k distinct similarity values with full
-// tie groups — sparse.IncSnapshot.KNNQuery's exact contract.
+// tie groups — sparse.IncSnapshot.KNNQuery's exact contract, through the
+// same sparse.SelectKNN cut.
 func (g *Reader) knnQuery(query []string, m sparse.Measure, k int, dead func(int64) bool) []Hit {
 	if k <= 0 {
 		return nil
@@ -574,18 +580,17 @@ func (g *Reader) knnQuery(query []string, m sparse.Measure, k int, dead func(int
 	sc := g.scratch.Get().(*scratch)
 	defer g.scratch.Put(sc)
 	qs := len(query)
-	var cands []Hit
+	sc.sims = sc.sims[:0]
 	g.overlaps(query, sc, func(slot, overlap int) {
-		id := g.id(slot)
-		if dead(id) {
-			return
+		sim := 0.0
+		if !dead(g.id(slot)) {
+			sim = m.Sim(overlap, qs, g.size(slot))
 		}
-		if sim := m.Sim(overlap, qs, g.size(slot)); sim > 0 {
-			cands = append(cands, Hit{ID: id, Score: sim})
-		}
+		sc.sims = append(sc.sims, sim)
 	})
-	sortHitsDesc(cands)
-	return cutDistinct(cands, k)
+	return sparse.SelectKNN(sc.sims, k, &sc.top, func(i int, sim float64) Hit {
+		return Hit{ID: g.id(int(sc.found[i])), Score: sim}
+	}, compareHitsDesc)
 }
 
 // denseSearch scans every live vector with the metric's raw score and
@@ -609,25 +614,26 @@ func (g *Reader) denseSearch(q vector.Vec, k int, metric knn.Metric, dead func(i
 	return h.sorted()
 }
 
-// sortHitsDesc orders hits by (score desc, id asc) — the canonical
-// sparse candidate order everywhere in the resolver.
-func sortHitsDesc(hits []Hit) {
-	sort.Slice(hits, func(i, j int) bool {
-		if hits[i].Score != hits[j].Score {
-			return hits[i].Score > hits[j].Score
-		}
-		return hits[i].ID < hits[j].ID
-	})
+// compareHitsDesc is the canonical sparse candidate order everywhere in
+// the resolver: score descending, then id ascending.
+func compareHitsDesc(a, b Hit) int {
+	if c := cmp.Compare(b.Score, a.Score); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ID, b.ID)
 }
+
+// sortHitsDesc orders hits by compareHitsDesc.
+func sortHitsDesc(hits []Hit) { slices.SortFunc(hits, compareHitsDesc) }
 
 // sortHitsAsc orders hits by (score asc, id asc) — the canonical dense
 // result order.
 func sortHitsAsc(hits []Hit) {
-	sort.Slice(hits, func(i, j int) bool {
-		if hits[i].Score != hits[j].Score {
-			return hits[i].Score < hits[j].Score
+	slices.SortFunc(hits, func(a, b Hit) int {
+		if c := cmp.Compare(a.Score, b.Score); c != 0 {
+			return c
 		}
-		return hits[i].ID < hits[j].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 }
 

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/rand"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -186,6 +188,93 @@ func TestSegmentQueriesMatchBruteForce(t *testing.T) {
 			}
 		}
 	})
+}
+
+// fullSortKNN is the oracle for knnQuery: the algorithm it ran before
+// the sparse.SelectKNN cut. It scores every live entry by a naive
+// overlap, sorts every positive candidate by (score desc, id asc) and
+// keeps the prefix spanning k distinct scores.
+func fullSortKNN(ents []Entry, query []string, m sparse.Measure, k int, dead func(int64) bool) []Hit {
+	if k <= 0 {
+		return nil
+	}
+	var cands []Hit
+	for _, e := range ents {
+		if dead(e.ID) {
+			continue
+		}
+		ov := 0
+		for _, q := range query {
+			if slices.Contains(e.Tokens, q) {
+				ov++
+			}
+		}
+		if sim := m.Sim(ov, len(query), len(e.Tokens)); sim > 0 {
+			cands = append(cands, Hit{ID: e.ID, Score: sim})
+		}
+	}
+	sort.Slice(cands, func(i, j int) bool {
+		if cands[i].Score != cands[j].Score {
+			return cands[i].Score > cands[j].Score
+		}
+		return cands[i].ID < cands[j].ID
+	})
+	distinct := 0
+	last := math.Inf(1)
+	for i, c := range cands {
+		if c.Score != last {
+			if distinct == k {
+				return cands[:i]
+			}
+			distinct++
+			last = c.Score
+		}
+	}
+	return cands
+}
+
+// TestSegmentKNNMatchesFullSortOracle checks knnQuery against the
+// full-sort oracle, order and score exactly, over tie-heavy random
+// segments with tombstoned entries, every measure, k below and above the
+// number of distinct scores, and queries overlapping nothing.
+func TestSegmentKNNMatchesFullSortOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	tokens := func(vocab int) []string {
+		perm := rng.Perm(vocab)[:1+rng.Intn(4)]
+		out := make([]string, len(perm))
+		for i, tok := range perm {
+			out[i] = fmt.Sprintf("t%d", tok)
+		}
+		return out
+	}
+	for trial := 0; trial < 200; trial++ {
+		vocab := 4 + rng.Intn(8)
+		ents := make([]Entry, 1+rng.Intn(60))
+		tomb := map[int64]bool{}
+		for i := range ents {
+			ents[i] = Entry{ID: int64(3*i + 1), Tokens: tokens(vocab)}
+			if rng.Intn(4) == 0 {
+				tomb[ents[i].ID] = true
+			}
+		}
+		g, err := Load(segBytes(t, KindSparse, 0, ents), "seg-oracle", nil)
+		if err != nil {
+			t.Fatalf("Load: %v", err)
+		}
+		dead := func(id int64) bool { return tomb[id] }
+		queries := [][]string{tokens(vocab), tokens(vocab), tokens(vocab), {"absent"}, nil}
+		for qi, q := range queries {
+			for _, m := range sparse.Measures() {
+				for _, k := range []int{1, 2, 3, 7, 100} {
+					want := fullSortKNN(ents, q, m, k, dead)
+					if got := g.knnQuery(q, m, k, dead); !slices.Equal(got, want) {
+						t.Fatalf("trial %d query %d %v k=%d: knnQuery = %v, want %v", trial, qi, m, k, got, want)
+					}
+				}
+			}
+		}
+		g.Close()
+	}
 }
 
 func TestSegmentDenseSearchMatchesBruteForce(t *testing.T) {

@@ -1,9 +1,9 @@
 package sparse
 
 import (
+	"cmp"
 	"fmt"
-	"math"
-	"sort"
+	"slices"
 )
 
 // IncNeighbor is one query result of an incremental index: the external
@@ -25,6 +25,9 @@ type Scratch struct {
 	stamp []int64
 	round int64
 	found []int32
+	// sims and top are the kNN-Join cut's buffers (see SelectKNN).
+	sims []float64
+	top  TopDistinct
 }
 
 // grow ensures the buffers cover n slots. New entries are zeroed, which is
@@ -185,9 +188,10 @@ type IncSnapshot struct {
 // Len returns the number of live sets visible to the snapshot.
 func (s *IncSnapshot) Len() int { return s.count }
 
-// overlaps merge-counts posting lists and invokes fn for every live slot
-// sharing at least one token with the query.
-func (s *IncSnapshot) overlaps(query []int32, sc *Scratch, fn func(slot int32, overlap int)) {
+// scan merge-counts the query's posting lists into sc: sc.found lists
+// every slot sharing at least one token with the query, tombstoned ones
+// included, and sc.counts holds each one's overlap.
+func (s *IncSnapshot) scan(query []int32, sc *Scratch) {
 	sc.grow(len(s.ids))
 	sc.round++
 	sc.found = sc.found[:0]
@@ -204,11 +208,6 @@ func (s *IncSnapshot) overlaps(query []int32, sc *Scratch, fn func(slot int32, o
 			sc.counts[slot]++
 		}
 	}
-	for _, slot := range sc.found {
-		if s.live[slot] {
-			fn(slot, int(sc.counts[slot]))
-		}
-	}
 }
 
 // RangeQuery returns the live sets whose similarity to the query is at
@@ -217,49 +216,47 @@ func (s *IncSnapshot) overlaps(query []int32, sc *Scratch, fn func(slot int32, o
 func (s *IncSnapshot) RangeQuery(query []int32, m Measure, eps float64, sc *Scratch) []IncNeighbor {
 	var out []IncNeighbor
 	qs := len(query)
-	s.overlaps(query, sc, func(slot int32, overlap int) {
-		if sim := m.Sim(overlap, qs, int(s.sizes[slot])); sim >= eps {
+	s.scan(query, sc)
+	for _, slot := range sc.found {
+		if !s.live[slot] {
+			continue
+		}
+		if sim := m.Sim(int(sc.counts[slot]), qs, int(s.sizes[slot])); sim >= eps {
 			out = append(out, IncNeighbor{ID: s.ids[slot], Sim: sim})
 		}
-	})
-	sortNeighbors(out)
+	}
+	slices.SortFunc(out, compareNeighbors)
 	return out
 }
 
 // KNNQuery returns the live sets having the k highest distinct similarity
 // values to the query, best first, with the same distinct-value tie
 // semantics as Index.KNNQuery. Zero-similarity sets are never returned.
+// With a warm Scratch the only allocation is the result (see SelectKNN).
 func (s *IncSnapshot) KNNQuery(query []int32, m Measure, k int, sc *Scratch) []IncNeighbor {
 	if k <= 0 {
 		return nil
 	}
-	var cands []IncNeighbor
 	qs := len(query)
-	s.overlaps(query, sc, func(slot int32, overlap int) {
-		if sim := m.Sim(overlap, qs, int(s.sizes[slot])); sim > 0 {
-			cands = append(cands, IncNeighbor{ID: s.ids[slot], Sim: sim})
+	s.scan(query, sc)
+	sc.sims = sc.sims[:0]
+	for _, slot := range sc.found {
+		sim := 0.0
+		if s.live[slot] {
+			sim = m.Sim(int(sc.counts[slot]), qs, int(s.sizes[slot]))
 		}
-	})
-	sortNeighbors(cands)
-	distinct := 0
-	lastSim := math.Inf(1)
-	for i, c := range cands {
-		if c.Sim != lastSim {
-			if distinct == k {
-				return cands[:i]
-			}
-			distinct++
-			lastSim = c.Sim
-		}
+		sc.sims = append(sc.sims, sim)
 	}
-	return cands
+	return SelectKNN(sc.sims, k, &sc.top, func(i int, sim float64) IncNeighbor {
+		return IncNeighbor{ID: s.ids[sc.found[i]], Sim: sim}
+	}, compareNeighbors)
 }
 
-func sortNeighbors(ns []IncNeighbor) {
-	sort.Slice(ns, func(i, j int) bool {
-		if ns[i].Sim != ns[j].Sim {
-			return ns[i].Sim > ns[j].Sim
-		}
-		return ns[i].ID < ns[j].ID
-	})
+// compareNeighbors is the result order: similarity descending, then id
+// ascending.
+func compareNeighbors(a, b IncNeighbor) int {
+	if c := cmp.Compare(b.Sim, a.Sim); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ID, b.ID)
 }

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -129,7 +130,7 @@ func TestIncIndexEquivalenceQuick(t *testing.T) {
 					for i, n := range ref {
 						refInc[i] = IncNeighbor{ID: ids[n.Entity], Sim: n.Sim}
 					}
-					sortNeighbors(refInc)
+					slices.SortFunc(refInc, compareNeighbors)
 					if len(inc) != len(refInc) {
 						return false
 					}

@@ -7,8 +7,8 @@
 package sparse
 
 import (
+	"cmp"
 	"math"
-	"sort"
 
 	"erfilter/internal/text"
 )
@@ -114,6 +114,9 @@ type Index struct {
 	stamp  []int32
 	round  int32
 	found  []int32
+	// sims (parallel to found) and top are KNNQuery's cut buffers.
+	sims []float64
+	top  TopDistinct
 }
 
 // NewIndex builds a ScanCount index over the given token sets.
@@ -188,34 +191,24 @@ func (idx *Index) RangeQuery(query []int32, m Measure, eps float64) []Neighbor {
 // KNNQuery returns the indexed entities having the k highest *distinct*
 // similarity values to the query, i.e. more than k entities are returned
 // when some are equidistant from the query, per the paper's kNN-Join
-// semantics. Entities with zero similarity are never returned.
+// semantics. Entities with zero similarity are never returned. Results are
+// ordered by similarity descending, then entity ascending; the cut is
+// IncSnapshot.KNNQuery's (see SelectKNN).
 func (idx *Index) KNNQuery(query []int32, m Measure, k int) []Neighbor {
 	if k <= 0 {
 		return nil
 	}
-	var cands []Neighbor
 	qs := len(query)
+	idx.sims = idx.sims[:0]
 	idx.Overlaps(query, func(e int32, overlap int) {
-		if sim := m.Sim(overlap, qs, idx.sizes[e]); sim > 0 {
-			cands = append(cands, Neighbor{Entity: e, Sim: sim})
-		}
+		idx.sims = append(idx.sims, m.Sim(overlap, qs, idx.sizes[e]))
 	})
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].Sim != cands[j].Sim {
-			return cands[i].Sim > cands[j].Sim
+	return SelectKNN(idx.sims, k, &idx.top, func(i int, sim float64) Neighbor {
+		return Neighbor{Entity: idx.found[i], Sim: sim}
+	}, func(a, b Neighbor) int {
+		if c := cmp.Compare(b.Sim, a.Sim); c != 0 {
+			return c
 		}
-		return cands[i].Entity < cands[j].Entity
+		return cmp.Compare(a.Entity, b.Entity)
 	})
-	distinct := 0
-	lastSim := math.Inf(1)
-	for i, c := range cands {
-		if c.Sim != lastSim {
-			if distinct == k {
-				return cands[:i]
-			}
-			distinct++
-			lastSim = c.Sim
-		}
-	}
-	return cands
 }
