@@ -12,7 +12,7 @@ RACE_PKGS = ./internal/parallel ./internal/tuning ./internal/bench ./internal/co
 CHAOS_PKGS = ./internal/faultfs ./internal/wal ./internal/knn ./internal/segment ./internal/online ./internal/serve ./internal/repl ./internal/match ./cmd/erserve
 CHAOS_RUN = 'Crash|Torn|Corrupt|Truncat|BitFlip|Degraded|Overload|Sticky|Graceful|Panic|SaveFileAtomic|SyncFault'
 
-.PHONY: check vet build test race chaos shard ann lsm repl bulk match scrape bench-tune bench-serve bench-wal bench-obs bench-shard bench-ann bench-lsm bench-repl bench-bulk bench-match bench-sparse
+.PHONY: check vet build test race chaos shard ann lsm repl bulk match scrape bench-tune bench-serve bench-wal bench-obs bench-shard bench-ann bench-lsm bench-repl bench-bulk bench-match bench-sparse bench-tuning
 
 ## check: the full verification gate (vet, build, tests, race tests, chaos, shard, ann, lsm, repl, bulk, match)
 check: vet build test race chaos shard ann lsm repl bulk match
@@ -50,6 +50,15 @@ bench-serve:
 SPARSE_BENCHTIME ?= 500x
 bench-sparse:
 	$(GO) test -run '^$$' -bench 'BenchmarkIncKNNQuery' -benchtime $(SPARSE_BENCHTIME) -count 3 ./internal/sparse
+
+## bench-tuning: the offline tuning layer on one cell of the offline-tune
+## workload (D4 analog, scale 0.05, schema-agnostic, 96-d embeddings, 2
+## workers): TuneHyperplane over the default grid with cached embeddings,
+## and TuneEpsJoin plus TuneKNNJoin from a fresh input. CI runs it with
+## TUNING_BENCHTIME=1x so the benchmarks keep compiling and running.
+TUNING_BENCHTIME ?= 20x
+bench-tuning:
+	$(GO) test -run '^$$' -bench 'BenchmarkTune(Hyperplane|Sparse)$$' -benchtime $(TUNING_BENCHTIME) -count 3 ./internal/tuning
 
 ## bench-wal: durable (WAL + fsync) vs volatile insert path
 bench-wal:

@@ -79,9 +79,7 @@ func bucketOf(rank int) int {
 // (cleaned values, C5GM multiset five-grams, cosine similarity), which the
 // appendix uses as the syntactic representative.
 func syntacticRanks(in *core.Input, reverse bool) []int {
-	t1, t2 := in.Texts(true)
-	model := text.Model{N: 5, Multiset: true}
-	corpus := sparse.BuildCorpus(t1, t2, model)
+	corpus := in.Corpus(true, text.Model{N: 5, Multiset: true})
 	indexSets, querySets := corpus.Sets1, corpus.Sets2
 	if reverse {
 		indexSets, querySets = corpus.Sets2, corpus.Sets1

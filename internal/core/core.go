@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"erfilter/internal/entity"
+	"erfilter/internal/sparse"
 	"erfilter/internal/text"
 	"erfilter/internal/vector"
 )
@@ -44,9 +45,9 @@ type Filter interface {
 }
 
 // Input bundles a task under one schema setting, with lazily cached
-// cleaned texts and embeddings so configuration sweeps do not recompute
-// them for every candidate configuration. Use Fresh for timing
-// measurements that must include the preprocessing cost.
+// cleaned texts, embeddings and token corpora so configuration sweeps do
+// not recompute them for every candidate configuration. Use Fresh for
+// timing measurements that must include the preprocessing cost.
 //
 // The caches live behind a mutex so that concurrent grid-search workers
 // may share one Input; WithSeed derives per-repetition inputs that share
@@ -67,11 +68,25 @@ type Input struct {
 // shared (by pointer) between an Input and its WithSeed copies, and all
 // access is serialized by mu: the first caller computes, everyone else
 // reads the memoized slices, which are treated as immutable thereafter.
+// Corpora are the exception: mu guards only the map of entries, and each
+// entry is built under its own once, so workers tokenizing different
+// (CL, RM) keys do not wait on one another.
 type inputCaches struct {
 	mu                 sync.Mutex
 	cleaned1, cleaned2 []string
 	embedder           *vector.Embedder
 	embCache           map[bool][2][]vector.Vec
+	corpora            map[corpusKey]*corpusEntry
+}
+
+type corpusKey struct {
+	clean bool
+	model text.Model
+}
+
+type corpusEntry struct {
+	once   sync.Once
+	corpus *sparse.Corpus
 }
 
 // NewInput materializes the schema views of the task.
@@ -154,6 +169,32 @@ func (in *Input) Embeddings(clean bool) (v1, v2 []vector.Vec) {
 	c.embCache[clean] = [2][]vector.Vec{e1, e2}
 	return e1, e2
 }
+
+// Corpus returns the token corpus of both collections over raw or cleaned
+// texts under the representation model, built on first use and cached per
+// (clean, model). Safe for concurrent use; callers must not modify it.
+func (in *Input) Corpus(clean bool, model text.Model) *sparse.Corpus {
+	c := in.caches
+	key := corpusKey{clean, model}
+	c.mu.Lock()
+	if c.corpora == nil {
+		c.corpora = map[corpusKey]*corpusEntry{}
+	}
+	e := c.corpora[key]
+	if e == nil {
+		e = &corpusEntry{}
+		c.corpora[key] = e
+	}
+	c.mu.Unlock()
+	e.once.Do(func() {
+		t1, t2 := in.Texts(clean)
+		e.corpus = sparse.BuildCorpus(t1, t2, model)
+	})
+	return e.corpus
+}
+
+// EmbedDim returns the dimensionality of the input's embeddings.
+func (in *Input) EmbedDim() int { return in.embDim }
 
 // Metrics are the effectiveness measures of Section III computed over a
 // candidate set.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
 	"erfilter/internal/blocking"
@@ -239,6 +241,61 @@ func TestInputCaching(t *testing.T) {
 	f1, _ := fresh.Texts(true)
 	if &f1[0] == &a1[0] {
 		t.Fatal("Fresh did not drop caches")
+	}
+}
+
+// TestCorpusCache checks that corpora are cached per (CL, RM) key and
+// shared with WithSeed copies, and that Fresh starts without any, so the
+// run time of a tuned configuration still includes tokenization.
+func TestCorpusCache(t *testing.T) {
+	task := datagen.Generate(datagen.QuickSpec(20, 30, 10, 45))
+	in := NewInputDim(task, entity.SchemaAgnostic, 16)
+	c3g, _ := text.ParseModel("C3G")
+	t1g, _ := text.ParseModel("T1G")
+	a := in.Corpus(true, c3g)
+	if in.Corpus(true, c3g) != a || in.WithSeed(9).Corpus(true, c3g) != a {
+		t.Fatal("corpus not cached per key")
+	}
+	if in.Corpus(false, c3g) == a || in.Corpus(true, t1g) == a {
+		t.Fatal("distinct keys share a corpus")
+	}
+	t1, t2 := in.Texts(true)
+	if want := sparse.BuildCorpus(t1, t2, c3g); !reflect.DeepEqual(a, want) {
+		t.Fatal("cached corpus differs from BuildCorpus")
+	}
+	fresh := in.Fresh()
+	if n := len(fresh.caches.corpora); n != 0 {
+		t.Fatalf("Fresh input starts with %d cached corpora", n)
+	}
+	if fresh.Corpus(true, c3g) == a {
+		t.Fatal("Fresh input reuses the original's corpus")
+	}
+}
+
+// TestCorpusConcurrent builds every key from many goroutines at once;
+// under -race it checks the per-key once.
+func TestCorpusConcurrent(t *testing.T) {
+	in := NewInputDim(quickTask(t), entity.SchemaAgnostic, 16)
+	models := text.Models()
+	got := make([][]*sparse.Corpus, 8)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range models {
+				m := models[(i+g)%len(models)]
+				got[g] = append(got[g], in.Corpus(g%2 == 0, m))
+			}
+		}()
+	}
+	wg.Wait()
+	for g := range got {
+		for i, c := range got[g] {
+			if c != in.Corpus(g%2 == 0, models[(i+g)%len(models)]) {
+				t.Fatalf("goroutine %d saw a second corpus for one key", g)
+			}
+		}
 	}
 }
 

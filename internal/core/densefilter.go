@@ -69,12 +69,17 @@ func (f *HyperplaneFilter) Run(in *Input) (*Outcome, error) {
 	out.Timing.Preprocess = sw.lap()
 
 	hp := &lsh.Hyperplane{Tables: f.Tables, Hashes: f.Hashes, Probes: f.Probes, Seed: in.Seed}
-	idx := hp.Build(v1)
+	sketch, err := hp.NewSketch(in.embDim)
+	if err != nil {
+		return nil, err
+	}
+	idx := sketch.Index(sketch.Sign(v1), f.Tables, f.Hashes)
 	out.Timing.Index = sw.lap()
 
 	var pairs []entity.Pair
+	codes2 := sketch.Sign(v2)
 	for j, v := range v2 {
-		idx.Query(v, func(e1 int32) {
+		idx.Query(v, codes2.Row(j), f.Probes, func(e1 int32) {
 			pairs = append(pairs, entity.Pair{Left: e1, Right: int32(j)})
 		})
 	}
@@ -107,7 +112,10 @@ func (f *CrossPolytopeFilter) Run(in *Input) (*Outcome, error) {
 	out.Timing.Preprocess = sw.lap()
 
 	cp := &lsh.CrossPolytope{Tables: f.Tables, Hashes: f.Hashes, LastCPDim: f.LastCPDim, Probes: f.Probes, Seed: in.Seed}
-	idx := cp.Build(v1)
+	idx, err := cp.Build(v1)
+	if err != nil {
+		return nil, err
+	}
 	out.Timing.Index = sw.lap()
 
 	var pairs []entity.Pair

@@ -30,10 +30,10 @@ func (f *EpsJoinFilter) Run(in *Input) (*Outcome, error) {
 	sw := newStopwatch()
 	out := &Outcome{}
 
-	t1, t2 := in.Texts(f.Clean)
+	in.Texts(f.Clean) // cleaning is preprocessing; tokenizing is indexing
 	out.Timing.Preprocess = sw.lap()
 
-	corpus := sparse.BuildCorpus(t1, t2, f.Model)
+	corpus := in.Corpus(f.Clean, f.Model)
 	idx := sparse.NewIndex(corpus.Sets1, corpus.NumTokens)
 	out.Timing.Index = sw.lap()
 
@@ -74,10 +74,10 @@ func (f *KNNJoinFilter) Run(in *Input) (*Outcome, error) {
 	sw := newStopwatch()
 	out := &Outcome{}
 
-	t1, t2 := in.Texts(f.Clean)
+	in.Texts(f.Clean) // cleaning is preprocessing; tokenizing is indexing
 	out.Timing.Preprocess = sw.lap()
 
-	corpus := sparse.BuildCorpus(t1, t2, f.Model)
+	corpus := in.Corpus(f.Clean, f.Model)
 	indexSets, querySets := corpus.Sets1, corpus.Sets2
 	if f.Reverse {
 		indexSets, querySets = corpus.Sets2, corpus.Sets1

@@ -9,6 +9,7 @@
 package entity
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"strings"
@@ -102,6 +103,14 @@ type Pair struct {
 
 // String implements fmt.Stringer.
 func (p Pair) String() string { return fmt.Sprintf("(%d,%d)", p.Left, p.Right) }
+
+// ComparePairs orders pairs by (Left, Right), for slices.SortFunc.
+func ComparePairs(a, b Pair) int {
+	if c := cmp.Compare(a.Left, b.Left); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Right, b.Right)
+}
 
 // GroundTruth is the set of true matching pairs between E1 and E2.
 type GroundTruth struct {

@@ -1,9 +1,10 @@
 package knn
 
 import (
+	"cmp"
 	"container/heap"
 	"math"
-	"sort"
+	"slices"
 
 	"erfilter/internal/vector"
 )
@@ -255,11 +256,11 @@ func (h *HNSW) pruneNode(vecs []vector.Vec, id int32, layer, m int) {
 // sortCands orders candidates by (distance, id) — the deterministic
 // best-first order the selection heuristic scans in.
 func sortCands(cands []cand) {
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].d != cands[j].d {
-			return cands[i].d < cands[j].d
+	slices.SortFunc(cands, func(a, b cand) int {
+		if c := cmp.Compare(a.d, b.d); c != 0 {
+			return c
 		}
-		return cands[i].id < cands[j].id
+		return cmp.Compare(a.id, b.id)
 	})
 }
 

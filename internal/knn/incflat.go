@@ -1,9 +1,10 @@
 package knn
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
-	"sort"
+	"slices"
 
 	"erfilter/internal/vector"
 )
@@ -150,13 +151,16 @@ func (s *FlatSnapshot) Search(q vector.Vec, k int) []IncResult {
 		h.offer(s.ids[slot], s.metric.score(q, v))
 	}
 	out := append([]IncResult(nil), h.items...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score < out[j].Score
-		}
-		return out[i].ID < out[j].ID
-	})
+	slices.SortFunc(out, compareIncResults)
 	return out
+}
+
+// compareIncResults orders results by (score, id) ascending.
+func compareIncResults(a, b IncResult) int {
+	if c := cmp.Compare(a.Score, b.Score); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ID, b.ID)
 }
 
 // incTopK keeps the k lexicographically smallest (score, id) results in a

@@ -1,10 +1,11 @@
 package knn
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"erfilter/internal/vector"
@@ -321,11 +322,11 @@ func (s *HNSWSnapshot) SearchEf(q vector.Vec, k, ef int) []IncResult {
 		ep = g.searchLayer(q, ep, 1, l, vis)
 	}
 	found := g.searchLive(q, s.live, ep, ef, vis)
-	sort.Slice(found, func(i, j int) bool {
-		if found[i].d != found[j].d {
-			return found[i].d < found[j].d
+	slices.SortFunc(found, func(a, b cand) int {
+		if c := cmp.Compare(a.d, b.d); c != 0 {
+			return c
 		}
-		return s.ids[found[i].id] < s.ids[found[j].id]
+		return cmp.Compare(s.ids[a.id], s.ids[b.id])
 	})
 	if len(found) > k {
 		found = found[:k]
@@ -352,12 +353,7 @@ func (s *HNSWSnapshot) SearchExact(q vector.Vec, k int) []IncResult {
 		h.offer(s.ids[slot], s.metric.score(q, v))
 	}
 	out := append([]IncResult(nil), h.items...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score < out[j].Score
-		}
-		return out[i].ID < out[j].ID
-	})
+	slices.SortFunc(out, compareIncResults)
 	return out
 }
 

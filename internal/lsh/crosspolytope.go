@@ -1,7 +1,9 @@
 package lsh
 
 import (
+	"fmt"
 	"math"
+	"slices"
 
 	"erfilter/internal/entity"
 	"erfilter/internal/vector"
@@ -29,6 +31,19 @@ type CrossPolytope struct {
 // hash function during multi-probe query expansion.
 const maxProbeVerticesPerHash = 4
 
+// maxCrossPolytopeHashes is the most hash functions a multi-probe choice
+// key holds: two bits per hash function select one of its
+// maxProbeVerticesPerHash vertices in a uint64.
+const maxCrossPolytopeHashes = 32
+
+// validate refuses hash counts whose probe choice keys do not fit 64 bits.
+func (c *CrossPolytope) validate() error {
+	if c.Hashes < 1 || c.Hashes > maxCrossPolytopeHashes {
+		return fmt.Errorf("lsh: cross-polytope hashes = %d, want 1..%d", c.Hashes, maxCrossPolytopeHashes)
+	}
+	return nil
+}
+
 // CrossPolytopeIndex holds the rotations and buckets of one indexed
 // collection.
 type CrossPolytopeIndex struct {
@@ -40,6 +55,8 @@ type CrossPolytopeIndex struct {
 	stamp   []int32
 	query   int32
 	buf     []float64
+	ranked  [][]rankedVertex
+	probe   prober
 }
 
 // cpTable holds the rotation sign patterns of one table: three rounds per
@@ -92,8 +109,10 @@ type rankedVertex struct {
 	penalty float64
 }
 
-func rankVertices(rot []float64, dims, limit int) []rankedVertex {
-	out := make([]rankedVertex, 0, limit)
+// rankVertices appends to out[:0] the limit vertices closest to rot
+// (largest absolute coordinate first, among the first dims coordinates).
+func rankVertices(out []rankedVertex, rot []float64, dims, limit int) []rankedVertex {
+	out = out[:0]
 	for len(out) < limit {
 		best, bestAbs := -1, -1.0
 		for i := 0; i < dims; i++ {
@@ -128,9 +147,12 @@ func rankVertices(rot []float64, dims, limit int) []rankedVertex {
 }
 
 // Build indexes the vectors.
-func (c *CrossPolytope) Build(vecs []vector.Vec) *CrossPolytopeIndex {
+func (c *CrossPolytope) Build(vecs []vector.Vec) (*CrossPolytopeIndex, error) {
+	if err := c.validate(); err != nil {
+		return nil, err
+	}
 	if len(vecs) == 0 {
-		return &CrossPolytopeIndex{c: c}
+		return &CrossPolytopeIndex{c: c}, nil
 	}
 	dim := len(vecs[0])
 	pd := paddedDim(dim)
@@ -143,6 +165,7 @@ func (c *CrossPolytope) Build(vecs []vector.Vec) *CrossPolytopeIndex {
 		tables: make([]cpTable, c.Tables),
 		stamp:  make([]int32, len(vecs)),
 		buf:    make([]float64, pd),
+		ranked: make([][]rankedVertex, c.Hashes),
 	}
 	for i := range idx.stamp {
 		idx.stamp[i] = -1
@@ -156,18 +179,18 @@ func (c *CrossPolytope) Build(vecs []vector.Vec) *CrossPolytopeIndex {
 			idx.tables[t].signs[i] = s
 		}
 		for i, v := range vecs {
-			ranked := idx.hashAll(&idx.tables[t], v, 1)
-			k := idx.combineKey(ranked, nil)
+			k := idx.combineKey(idx.hashAll(&idx.tables[t], v, 1), 0)
 			idx.tables[t].buckets[k] = append(idx.tables[t].buckets[k], int32(i))
 		}
 	}
-	return idx
+	return idx, nil
 }
 
-// hashAll computes, per hash function, the ranked vertex list of v.
+// hashAll computes, per hash function, the ranked vertex list of v into
+// the index's scratch.
 func (idx *CrossPolytopeIndex) hashAll(tb *cpTable, v vector.Vec, limit int) [][]rankedVertex {
-	out := make([][]rankedVertex, idx.c.Hashes)
-	for hf := 0; hf < idx.c.Hashes; hf++ {
+	out := idx.ranked
+	for hf := range out {
 		for i := range idx.buf {
 			idx.buf[i] = 0
 		}
@@ -179,21 +202,17 @@ func (idx *CrossPolytopeIndex) hashAll(tb *cpTable, v vector.Vec, limit int) [][
 		if hf == idx.c.Hashes-1 {
 			dims = idx.lastDim
 		}
-		out[hf] = rankVertices(idx.buf, dims, limit)
+		out[hf] = rankVertices(out[hf], idx.buf, dims, limit)
 	}
 	return out
 }
 
-func (idx *CrossPolytopeIndex) combineKey(ranked [][]rankedVertex, choice []int) uint64 {
+// combineKey is the bucket key of one probe: choice holds two bits per
+// hash function selecting its vertex in rank order.
+func (idx *CrossPolytopeIndex) combineKey(ranked [][]rankedVertex, choice uint64) uint64 {
 	var k uint64 = 0x243f6a8885a308d3
 	for hf, r := range ranked {
-		ci := 0
-		if choice != nil {
-			ci = choice[hf]
-		}
-		if ci >= len(r) {
-			ci = len(r) - 1
-		}
+		ci := choice >> (2 * uint(hf)) & 3
 		k = vector.Mix64(k^uint64(r[ci].value), idx.c.Seed+uint64(hf))
 	}
 	return k
@@ -217,15 +236,14 @@ func (idx *CrossPolytopeIndex) Query(v vector.Vec, fn func(e int32)) {
 			limit = maxProbeVerticesPerHash
 		}
 		ranked := idx.hashAll(tb, v, limit)
-		options := make([][]float64, idx.c.Hashes)
+		nopt, pen := idx.probe.reset(len(ranked), 2)
 		for hf, r := range ranked {
-			pen := make([]float64, len(r))
+			nopt[hf] = uint8(len(r))
 			for i := range r {
-				pen[i] = r[i].penalty
+				pen[hf<<2|i] = r[i].penalty
 			}
-			options[hf] = pen
 		}
-		for _, choice := range probeSequence(options, probes) {
+		for _, choice := range idx.probe.sequence(probes) {
 			k := idx.combineKey(ranked, choice)
 			for _, e1 := range tb.buckets[k] {
 				if idx.stamp[e1] != idx.query {
@@ -238,17 +256,20 @@ func (idx *CrossPolytopeIndex) Query(v vector.Vec, fn func(e int32)) {
 }
 
 // Candidates indexes vecs1 and probes with every vector of vecs2.
-func (c *CrossPolytope) Candidates(vecs1, vecs2 []vector.Vec) []entity.Pair {
+func (c *CrossPolytope) Candidates(vecs1, vecs2 []vector.Vec) ([]entity.Pair, error) {
 	if len(vecs1) == 0 || len(vecs2) == 0 {
-		return nil
+		return nil, c.validate()
 	}
-	idx := c.Build(vecs1)
+	idx, err := c.Build(vecs1)
+	if err != nil {
+		return nil, err
+	}
 	var out []entity.Pair
 	for j, v := range vecs2 {
 		idx.Query(v, func(e1 int32) {
 			out = append(out, entity.Pair{Left: e1, Right: int32(j)})
 		})
 	}
-	sortPairs(out)
-	return out
+	slices.SortFunc(out, entity.ComparePairs)
+	return out, nil
 }

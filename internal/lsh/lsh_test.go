@@ -15,7 +15,7 @@ func TestProbeSequenceOrdering(t *testing.T) {
 		{0, 0.1},
 		{0, 0.3},
 	}
-	got := probeSequence(options, 8)
+	got := probeChoices(&prober{}, options, 1, 8)
 	if len(got) != 8 {
 		t.Fatalf("probe count = %d", len(got))
 	}
@@ -53,14 +53,15 @@ func TestProbeSequenceOrdering(t *testing.T) {
 }
 
 func TestProbeSequenceBounds(t *testing.T) {
-	if got := probeSequence(nil, 5); len(got) != 1 {
+	pr := &prober{}
+	if got := probeChoices(pr, nil, 1, 5); len(got) != 1 {
 		t.Fatalf("empty options should yield just the base, got %v", got)
 	}
-	if got := probeSequence([][]float64{{0, 1}}, 100); len(got) != 2 {
+	if got := probeChoices(pr, [][]float64{{0, 1}}, 1, 100); len(got) != 2 {
 		t.Fatalf("exhaustive enumeration expected 2 probes, got %d", len(got))
 	}
-	if got := probeSequence([][]float64{{0, 1}}, 0); got != nil {
-		t.Fatalf("max=0 should yield nil")
+	if got := probeChoices(pr, [][]float64{{0, 1}}, 1, 0); len(got) != 0 {
+		t.Fatalf("max=0 should yield no probes, got %v", got)
 	}
 }
 
@@ -148,7 +149,7 @@ func TestHyperplaneCollisionProbability(t *testing.T) {
 		trials := 400
 		for s := 0; s < trials; s++ {
 			h := &Hyperplane{Tables: 1, Hashes: 1, Probes: 1, Seed: uint64(s)}
-			if len(h.Candidates([]vector.Vec{a}, []vector.Vec{b})) > 0 {
+			if len(mustCandidates(t)(h.Candidates([]vector.Vec{a}, []vector.Vec{b}))) > 0 {
 				collisions++
 			}
 		}
@@ -175,8 +176,8 @@ func TestHyperplaneMultiprobeWidensCandidates(t *testing.T) {
 	q := []vector.Vec{idx[0]}
 	one := &Hyperplane{Tables: 2, Hashes: 8, Probes: 1, Seed: 7}
 	many := &Hyperplane{Tables: 2, Hashes: 8, Probes: 16, Seed: 7}
-	n1 := len(one.Candidates(idx, q))
-	n2 := len(many.Candidates(idx, q))
+	n1 := len(mustCandidates(t)(one.Candidates(idx, q)))
+	n2 := len(mustCandidates(t)(many.Candidates(idx, q)))
 	if n2 < n1 {
 		t.Fatalf("multi-probe produced fewer candidates: %d < %d", n2, n1)
 	}
@@ -198,7 +199,7 @@ func TestCrossPolytopeFindsIdentical(t *testing.T) {
 		idx = append(idx, vector.Normalize(v))
 	}
 	cp := &CrossPolytope{Tables: 4, Hashes: 1, LastCPDim: 32, Probes: 1, Seed: 3}
-	got := cp.Candidates(idx, []vector.Vec{idx[5]})
+	got := mustCandidates(t)(cp.Candidates(idx, []vector.Vec{idx[5]}))
 	found := false
 	for _, p := range got {
 		if p.Left == 5 {
@@ -226,8 +227,8 @@ func TestCrossPolytopeSelectivity(t *testing.T) {
 	q := idx[:20]
 	coarse := &CrossPolytope{Tables: 2, Hashes: 1, Probes: 1, Seed: 11}
 	fine := &CrossPolytope{Tables: 2, Hashes: 3, Probes: 1, Seed: 11}
-	nc := len(coarse.Candidates(idx, q))
-	nf := len(fine.Candidates(idx, q))
+	nc := len(mustCandidates(t)(coarse.Candidates(idx, q)))
+	nf := len(mustCandidates(t)(fine.Candidates(idx, q)))
 	if nf > nc {
 		t.Fatalf("more hashes should not increase candidates: fine=%d coarse=%d", nf, nc)
 	}
@@ -254,7 +255,7 @@ func TestCrossPolytopeLastDimOne(t *testing.T) {
 	v := make(vector.Vec, dim)
 	v[3] = 1
 	cp := &CrossPolytope{Tables: 8, Hashes: 1, LastCPDim: 1, Probes: 1, Seed: 21}
-	got := cp.Candidates([]vector.Vec{v}, []vector.Vec{v})
+	got := mustCandidates(t)(cp.Candidates([]vector.Vec{v}, []vector.Vec{v}))
 	if len(got) != 1 {
 		t.Fatalf("identical vectors with lastCPDim=1: %v", got)
 	}

@@ -1,7 +1,8 @@
 package sparse
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"erfilter/internal/entity"
 )
@@ -39,11 +40,11 @@ func PrefixEpsJoin(c *Corpus, m Measure, eps float64) []entity.Pair {
 	for i := range order {
 		order[i] = int32(i)
 	}
-	sort.Slice(order, func(a, b int) bool {
-		if freq[order[a]] != freq[order[b]] {
-			return freq[order[a]] < freq[order[b]]
+	slices.SortFunc(order, func(a, b int32) int {
+		if c := cmp.Compare(freq[a], freq[b]); c != 0 {
+			return c
 		}
-		return order[a] < order[b]
+		return cmp.Compare(a, b)
 	})
 	for r, t := range order {
 		rank[t] = int32(r)
@@ -52,7 +53,7 @@ func PrefixEpsJoin(c *Corpus, m Measure, eps float64) []entity.Pair {
 		out := make([][]int32, len(sets))
 		for i, set := range sets {
 			s := append([]int32(nil), set...)
-			sort.Slice(s, func(a, b int) bool { return rank[s[a]] < rank[s[b]] })
+			slices.SortFunc(s, func(a, b int32) int { return cmp.Compare(rank[a], rank[b]) })
 			out[i] = s
 		}
 		return out
@@ -127,12 +128,7 @@ func PrefixEpsJoin(c *Corpus, m Measure, eps float64) []entity.Pair {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Left != out[j].Left {
-			return out[i].Left < out[j].Left
-		}
-		return out[i].Right < out[j].Right
-	})
+	slices.SortFunc(out, entity.ComparePairs)
 	return out
 }
 
@@ -175,14 +171,11 @@ func TopKJoin(c *Corpus, m Measure, k int) []Neighbor2 {
 			}
 		})
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Sim != all[j].Sim {
-			return all[i].Sim > all[j].Sim
+	slices.SortFunc(all, func(a, b Neighbor2) int {
+		if c := cmp.Compare(b.Sim, a.Sim); c != 0 {
+			return c
 		}
-		if all[i].Pair.Left != all[j].Pair.Left {
-			return all[i].Pair.Left < all[j].Pair.Left
-		}
-		return all[i].Pair.Right < all[j].Pair.Right
+		return entity.ComparePairs(a.Pair, b.Pair)
 	})
 	if len(all) > k {
 		all = all[:k]

@@ -3,10 +3,12 @@ package tuning
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"erfilter/internal/core"
 	"erfilter/internal/entity"
 	"erfilter/internal/knn"
+	"erfilter/internal/lsh"
 	"erfilter/internal/parallel"
 	"erfilter/internal/vector"
 )
@@ -80,17 +82,29 @@ func DefaultDenseSpace(full bool) DenseSpace {
 // returns the mean PC/PQ/candidate count, as the paper does for stochastic
 // methods.
 func averageMetrics(in *core.Input, mk func(seed uint64) core.Filter, reps int) (core.Metrics, error) {
-	if reps < 1 {
-		reps = 1
-	}
-	var sum core.Metrics
-	for r := 0; r < reps; r++ {
-		run := in.WithSeed(in.Seed + uint64(r)*0x9e37)
+	return averageReps(reps, func(r int) (core.Metrics, error) {
+		run := in.WithSeed(repSeed(in, r))
 		out, err := mk(run.Seed).Run(run)
 		if err != nil {
 			return core.Metrics{}, err
 		}
-		m := core.Evaluate(out.Pairs, in.Task.Truth)
+		return core.Evaluate(out.Pairs, in.Task.Truth), nil
+	})
+}
+
+// repSeed is the seed of repetition r of a stochastic method.
+func repSeed(in *core.Input, r int) uint64 { return in.Seed + uint64(r)*0x9e37 }
+
+// averageReps returns the mean of the repetitions' metrics, summed in
+// repetition order.
+func averageReps(reps int, run func(r int) (core.Metrics, error)) (core.Metrics, error) {
+	reps = max(reps, 1)
+	var sum core.Metrics
+	for r := 0; r < reps; r++ {
+		m, err := run(r)
+		if err != nil {
+			return core.Metrics{}, err
+		}
 		sum.PC += m.PC
 		sum.PQ += m.PQ
 		sum.Candidates += m.Candidates
@@ -162,32 +176,90 @@ func TuneMinHash(in *core.Input, space DenseSpace, target float64) (*Result, err
 // recall is reached, mirroring the paper's automatic multi-probe setting.
 // The (CL, tables, hashes) branches fan out; each probe ladder stays
 // sequential because its termination depends on the previous rung.
+//
+// Grid-invariant work is done once: every repetition's seed gets one
+// hyperplane sketch at the grid's largest tables and hashes, every (CL,
+// repetition) signs both collections under it once, and those codes
+// serve every smaller grid point (see lsh.HyperplaneSketch). Every branch
+// buckets each repetition once for its whole probe ladder. The metrics
+// equal those of HyperplaneFilter.Run at every grid point.
 func TuneHyperplane(in *core.Input, space DenseSpace, target float64) (*Result, error) {
 	type branch struct {
-		clean          bool
+		clean          int // index into space.CleanOptions
 		tables, hashes int
 	}
 	var branches []branch
-	for _, clean := range space.CleanOptions {
+	for ci := range space.CleanOptions {
 		for _, tables := range space.HPTables {
 			for _, hashes := range space.HPHashes {
-				branches = append(branches, branch{clean, tables, hashes})
+				branches = append(branches, branch{ci, tables, hashes})
 			}
 		}
 	}
+	if len(branches) == 0 {
+		return mergeTrackers("HP-LSH", target, nil), nil
+	}
+	top := lsh.Hyperplane{Tables: slices.Max(space.HPTables), Hashes: slices.Max(space.HPHashes)}
+	for _, hashes := range space.HPHashes {
+		if err := (&lsh.Hyperplane{Hashes: hashes}).Validate(); err != nil {
+			return nil, err
+		}
+	}
+
+	// One sketch per repetition (the planes do not depend on CL), and
+	// the sign codes of both collections per (CL, repetition).
+	reps := max(space.Repetitions, 1)
+	sketches, err := parallel.Map(space.Workers, reps, func(r int) (*lsh.HyperplaneSketch, error) {
+		h := top
+		h.Seed = repSeed(in, r)
+		return h.NewSketch(in.EmbedDim())
+	})
+	if err != nil {
+		return nil, err
+	}
+	type signed struct {
+		sketch         *lsh.HyperplaneSketch
+		codes1, codes2 lsh.SignCodes
+		queries        []vector.Vec
+	}
+	coded, err := parallel.Map(space.Workers, len(space.CleanOptions)*reps, func(i int) (signed, error) {
+		v1, v2 := in.Embeddings(space.CleanOptions[i/reps])
+		s := sketches[i%reps]
+		return signed{s, s.Sign(v1), s.Sign(v2), v2}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	truth := in.Task.Truth
 	return tuneDenseBranches(space.Workers, len(branches), "HP-LSH", target, func(tr *tracker, bi int) error {
 		b := branches[bi]
+		clean := space.CleanOptions[b.clean]
+		own := coded[b.clean*reps : (b.clean+1)*reps]
+		idxs := make([]*lsh.HyperplaneIndex, reps)
+		for r, sk := range own {
+			idxs[r] = sk.sketch.Index(sk.codes1, b.tables, b.hashes)
+		}
 		for _, probes := range space.ProbeLadder {
-			probes := probes
-			m, err := averageMetrics(in, func(seed uint64) core.Filter {
-				return &core.HyperplaneFilter{Clean: b.clean, Tables: b.tables, Hashes: b.hashes, Probes: probes}
-			}, space.Repetitions)
-			if err != nil {
-				return err
-			}
-			f := &core.HyperplaneFilter{Clean: b.clean, Tables: b.tables, Hashes: b.hashes, Probes: probes}
+			// Counting cannot fail, so averageReps returns no error here.
+			m, _ := averageReps(reps, func(r int) (core.Metrics, error) {
+				sk, idx := own[r], idxs[r]
+				cands, matches, qi := 0, 0, int32(0)
+				count := func(e1 int32) {
+					cands++
+					if truth.Contains(pair(e1, qi)) {
+						matches++
+					}
+				}
+				for j, v := range sk.queries {
+					qi = int32(j)
+					idx.Query(v, sk.codes2.Row(j), probes, count)
+				}
+				return metricsFromCounts(cands, matches, truth.Size()), nil
+			})
+			f := &core.HyperplaneFilter{Clean: clean, Tables: b.tables, Hashes: b.hashes, Probes: probes}
 			tr.offer(m, f, map[string]string{
-				"CL": fmtBool(b.clean), "#tables": fmt.Sprintf("%d", b.tables),
+				"CL": fmtBool(clean), "#tables": fmt.Sprintf("%d", b.tables),
 				"#hashes": fmt.Sprintf("%d", b.hashes), "#probes": fmt.Sprintf("%d", probes),
 			})
 			if m.PC >= target {

@@ -132,9 +132,10 @@ func TestTunersDeterministicAcrossWorkerCounts(t *testing.T) {
 
 // TestConcurrentTunersSharedInput drives several parallel tuners over ONE
 // shared core.Input at the same time, hammering the lazily computed
-// text/embedding caches from many goroutines. Run under -race (the
-// Makefile check target does) this is the regression test for the Input
-// cache synchronization.
+// text, embedding and corpus caches from many goroutines (ε-Join and
+// kNN-Join share corpora, HP-LSH builds sketches over the shared
+// embeddings). Run under -race (the Makefile check target does) this is
+// the regression test for the Input cache synchronization.
 func TestConcurrentTunersSharedInput(t *testing.T) {
 	in := testInput(t)
 	var wg sync.WaitGroup
@@ -156,6 +157,11 @@ func TestConcurrentTunersSharedInput(t *testing.T) {
 	launch(func() { TuneKNNJoin(in, sparse, DefaultTarget) })
 	launch(func() {
 		if _, err := TuneMinHash(in, dense, DefaultTarget); err != nil {
+			t.Error(err)
+		}
+	})
+	launch(func() {
+		if _, err := TuneHyperplane(in, dense, DefaultTarget); err != nil {
 			t.Error(err)
 		}
 	})

@@ -66,8 +66,7 @@ func TuneEpsJoin(in *core.Input, space SparseSpace, target float64) *Result {
 	branches := sparseBranches(space, false)
 	trackers := tuneBranches(space.Workers, len(branches), "eps-join", target, func(tr *tracker, bi int) {
 		clean, model := branches[bi].clean, branches[bi].model
-		t1, t2 := in.Texts(clean)
-		corpus := sparse.BuildCorpus(t1, t2, model)
+		corpus := in.Corpus(clean, model)
 		idx := sparse.NewIndex(corpus.Sets1, corpus.NumTokens)
 		for _, measure := range space.Measures {
 			cand := make([]int, bins)
@@ -183,8 +182,7 @@ func TuneKNNJoin(in *core.Input, space SparseSpace, target float64) *Result {
 	branches := sparseBranches(space, true)
 	trackers := tuneBranches(space.Workers, len(branches), "kNN-Join", target, func(tr *tracker, bi int) {
 		clean, reverse, model := branches[bi].clean, branches[bi].reverse, branches[bi].model
-		t1, t2 := in.Texts(clean)
-		corpus := sparse.BuildCorpus(t1, t2, model)
+		corpus := in.Corpus(clean, model)
 		indexSets, querySets := corpus.Sets1, corpus.Sets2
 		if reverse {
 			indexSets, querySets = corpus.Sets2, corpus.Sets1

@@ -79,6 +79,26 @@ func TestEmbedderWordOrderInsensitive(t *testing.T) {
 	}
 }
 
+// TestGaussianPrefixStable pins the property the hyperplane sketch
+// relies on: Gaussian is one sequential stream per seed, so the first n
+// values drawn for any longer output equal the n values drawn alone, odd
+// n included (the unpaired last value is the cosine half of its pair).
+func TestGaussianPrefixStable(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 11, 0x2545f4914f6cdd1d} {
+		long := make([]float64, 1201)
+		Gaussian(long, seed)
+		for _, n := range []int{0, 1, 2, 3, 17, 96, 97, 300, 1200} {
+			short := make([]float64, n)
+			Gaussian(short, seed)
+			for i, x := range short {
+				if math.Float64bits(x) != math.Float64bits(long[i]) {
+					t.Fatalf("seed %d: value %d of a %d-value draw is %v, of a %d-value draw %v", seed, i, n, x, len(long), long[i])
+				}
+			}
+		}
+	}
+}
+
 func TestGaussianMoments(t *testing.T) {
 	out := make([]float64, 100000)
 	Gaussian(out, 42)
